@@ -973,10 +973,8 @@ func (a *Analysis) MainPTF() *PTF { return a.mainPTF }
 
 // PTFs returns the PTFs of the procedure named name.
 func (a *Analysis) PTFs(name string) []*PTF {
-	for proc, l := range a.ptfs {
-		if proc.Name == name {
-			return l.list
-		}
+	if l := a.ptfs[a.Proc(name)]; l != nil {
+		return l.list
 	}
 	return nil
 }

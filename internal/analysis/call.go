@@ -507,7 +507,7 @@ func (a *Analysis) matchPTFMode(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.
 func (a *Analysis) matchPTFInto(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.ValueSet, drift bool, pmap map[*memmod.Block]memmod.ValueSet) (pmapOut map[*memmod.Block]memmod.ValueSet, needVisit, ok bool) {
 	cf := a.carveFrame(f.c)
 	cf.ptf, cf.caller, cf.callNode = ptf, f, nd
-	cf.args, cf.pmap = args, pmap
+	cf.args, cf.pmap, cf.c = args, pmap, f.c
 	// Entries recorded as "points to nothing" whose actuals are now
 	// non-empty are upgraded to fresh parameters — an input VALUE
 	// difference, not an alias difference, so the PTF still applies

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"wlpa/internal/cfg"
+	"wlpa/internal/memmod"
 )
 
 // DomainDigests returns, per analyzed procedure, a stable digest of the
@@ -82,20 +85,21 @@ func (p *PTF) renderDomain() string {
 	return b.String()
 }
 
-// RecordNodes returns the IDs of flow nodes at which this PTF holds any
-// points-to record (assignments and φ-functions). Between two nodes
-// with no intervening record on the dominator path, every location's
-// contents are identical — snapshot builders (pta) use this to copy
-// per-node query answers from the immediate dominator instead of
-// re-deriving them.
-func (p *PTF) RecordNodes() map[int]bool {
-	out := map[int]bool{}
+// EachRecord calls fn for every points-to record of p (assignments and
+// φ-functions) with its flow node, the interned ID of its location as
+// ContentsAt and ContentsAfter look it up (see ConsultedLocs), and
+// whether it is a strong update. A contents query at a node sees only
+// records at the nodes that dominate it, so along one dominator-tree
+// path a query's answer stays fixed until a record of a location it
+// consults; the snapshot builder (pta) copies answers down the tree on
+// that rule. A location may be reported more than once per node.
+func (a *Analysis) EachRecord(p *PTF, fn func(nd *cfg.Node, loc memmod.LocID, strong bool)) {
 	for _, loc := range p.Pts.Locations() {
+		id := a.intern.ID(loc)
 		for _, r := range p.Pts.Records(loc) {
 			if r.Node != nil {
-				out[r.Node.ID] = true
+				fn(r.Node, id, r.Strong)
 			}
 		}
 	}
-	return out
 }

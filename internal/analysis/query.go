@@ -277,16 +277,31 @@ func (a *Analysis) TermValuesAt(p *PTF, t cfg.Term, nd *cfg.Node) memmod.ValueSe
 // values resolve through the entry records seeded during the analysis;
 // locations never demanded stay empty.
 func (a *Analysis) ContentsAt(p *PTF, v memmod.LocSet, nd *cfg.Node) memmod.ValueSet {
-	return a.contentsAt(p, v, nd, false)
+	return a.contentsAt(p, v, nd, false, nil)
 }
 
 // ContentsAfter is ContentsAt for the state flowing OUT of nd (a record
 // at the node itself is visible).
 func (a *Analysis) ContentsAfter(p *PTF, v memmod.LocSet, nd *cfg.Node) memmod.ValueSet {
-	return a.contentsAt(p, v, nd, true)
+	return a.contentsAt(p, v, nd, true, nil)
 }
 
-func (a *Analysis) contentsAt(p *PTF, v memmod.LocSet, nd *cfg.Node, includeAt bool) memmod.ValueSet {
+// ContentsAfterReading is ContentsAfter that also appends to reads the
+// IDs ConsultedLocs reports for v.
+//
+// barrier reports that the query is bounded by v's nearest strong
+// update strictly before nd and reads more than v. A strong update of v
+// at nd itself is then not nd's barrier, but it is the barrier of every
+// node nd dominates, hiding older records of the other locations there.
+func (a *Analysis) ContentsAfterReading(p *PTF, v memmod.LocSet, nd *cfg.Node, reads []memmod.LocID) (vals memmod.ValueSet, ids []memmod.LocID, barrier bool) {
+	n := len(reads)
+	vals = a.contentsAt(p, v, nd, true, &reads)
+	return vals, reads, len(reads)-n > 1 && v.Precise()
+}
+
+// contentsAt appends the interned ID of each consulted location to
+// reads when it is not nil.
+func (a *Analysis) contentsAt(p *PTF, v memmod.LocSet, nd *cfg.Node, includeAt bool, reads *[]memmod.LocID) memmod.ValueSet {
 	v = v.Resolve()
 	if v.Base.Kind == memmod.NullBlock {
 		return memmod.ValueSet{}
@@ -296,13 +311,10 @@ func (a *Analysis) contentsAt(p *PTF, v memmod.LocSet, nd *cfg.Node, includeAt b
 		barrier = p.Pts.FindStrongUpdate(v, nd)
 	}
 	var result memmod.ValueSet
-	seen := map[memmod.LocSet]bool{}
-	consider := func(l memmod.LocSet) {
-		l = l.Resolve()
-		if seen[l] || !l.Overlaps(v) {
-			return
+	consulted(v, func(l memmod.LocSet) {
+		if reads != nil {
+			*reads = append(*reads, a.intern.ID(l))
 		}
-		seen[l] = true
 		var vals memmod.ValueSet
 		var found bool
 		if includeAt {
@@ -313,10 +325,38 @@ func (a *Analysis) contentsAt(p *PTF, v memmod.LocSet, nd *cfg.Node, includeAt b
 		if found {
 			result.AddAll(vals)
 		}
+	})
+	return result
+}
+
+// consulted calls fn once for each distinct location whose records a
+// contents query of the resolved, non-null location v reads: v itself,
+// then every pointer location of its block that overlaps it (resolved).
+func consulted(v memmod.LocSet, fn func(memmod.LocSet)) {
+	seen := map[memmod.LocSet]bool{}
+	consider := func(l memmod.LocSet) {
+		l = l.Resolve()
+		if seen[l] || !l.Overlaps(v) {
+			return
+		}
+		seen[l] = true
+		fn(l)
 	}
 	consider(v)
 	for _, l := range v.Base.PtrLocs() {
 		consider(l)
 	}
-	return result
+}
+
+// ConsultedLocs appends to dst the interned IDs of the locations whose
+// records ContentsAt and ContentsAfter read for v, in any PTF, v's own
+// first: the keys the sparse lookups use (see EachRecord). Records of
+// other locations cannot change those queries' answers.
+func (a *Analysis) ConsultedLocs(v memmod.LocSet, dst []memmod.LocID) []memmod.LocID {
+	v = v.Resolve()
+	if v.Base.Kind == memmod.NullBlock {
+		return dst
+	}
+	consulted(v, func(l memmod.LocSet) { dst = append(dst, a.intern.ID(l)) })
+	return dst
 }

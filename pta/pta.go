@@ -304,6 +304,12 @@ func (r *Result) pointsToAtNodeVia(contents contentsFn, proc string, sym *cast.S
 		}
 		union.AddAll(vals)
 	}
+	return r.answerNames(union)
+}
+
+// answerNames renders a PointsToAt answer: the concretized values'
+// block names, deduplicated and sorted.
+func (r *Result) answerNames(union memmod.ValueSet) []string {
 	union = r.an.Concretize(union)
 	seen := map[string]bool{}
 	var names []string

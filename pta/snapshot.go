@@ -18,21 +18,44 @@ package pta
 // variable, dereference depth 0..MaxQueryDepth) with two compressions:
 // answers are interned in a shared pool (Snapshot.Answers, id 0 =
 // empty), and a per-variable answer vector that is constant across all
-// nodes of a procedure is stored as a single element. The builder
-// avoids recomputing answers at nodes that hold no points-to record in
-// any PTF of the procedure: under the sparse representation a lookup
-// at such a node walks the dominator tree, so its answer equals the
-// immediate dominator's and is copied (analysis.PTF.RecordNodes).
+// nodes of a procedure is stored as a single element.
+//
+// The builder derives an answer only where it can differ from the
+// immediate dominator's. Under the sparse representation a lookup sees
+// only the records at nodes that dominate it, nearest first, so down
+// the dominator tree an answer can change only at a node where some PTF
+// of the procedure records a location in the answer's read set: the
+// locations whose records its contents queries consulted
+// (analysis.ConsultedLocs). The builder sweeps each variable's nodes in
+// reverse postorder, carrying each answer with its read set, derives
+// the answer at the entry and at such nodes, and copies it everywhere
+// else. One case needs more: a strong update of a precise location at
+// the deriving node is not that node's barrier (a barrier lies strictly
+// before the node), but it is the barrier of the nodes below, where it
+// hides older records of the overlapping locations the query also
+// reads. The answer is then derived again at the next node holding any
+// record. A variable whose locations have no record anywhere in the
+// procedure is empty everywhere and costs no lookup.
+//
+// The table is byte-identical to deriving the answer independently at
+// the entry and at every node holding a record, and copying the
+// immediate dominator's at record-free nodes (the oracle in
+// snapshot_oracle_test.go).
 
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
+	"wlpa/internal/analysis"
 	"wlpa/internal/cast"
+	"wlpa/internal/cfg"
 	"wlpa/internal/check"
 	"wlpa/internal/ctok"
+	"wlpa/internal/memmod"
 )
 
 // SnapshotFormat versions the serialized layout. DecodeSnapshot rejects
@@ -189,6 +212,44 @@ func (r *Result) Snapshot(opts *SnapshotOptions) (*Snapshot, error) {
 	return s, nil
 }
 
+// procSnapper builds one procedure's answer vectors. Its record index
+// lists, per flow node, the locations (interned IDs, the keys the
+// sparse lookups use) at which some PTF of the procedure holds a
+// record there.
+type procSnapper struct {
+	r     *Result
+	pool  *answerPool
+	proc  *cfg.Proc
+	ptfs  []*analysis.PTF
+	recs  [][]nodeRecord        // by node ID
+	bound map[memmod.LocID]bool // locations recorded at any node
+
+	// Scratch: the symbol's location in each PTF, the read set of the
+	// answer being derived, and the per-node answers and pool ids.
+	locs  []memmod.LocSet
+	reads []memmod.LocID
+	at    []*sweptAnswer
+	ids   []int
+}
+
+type nodeRecord struct {
+	loc    memmod.LocID
+	strong bool
+}
+
+// sweptAnswer is one symbol's answers at depths 0..MaxQueryDepth, as
+// computed at one node and copied down the dominator tree. reads is the
+// sorted read set: every location whose records the computation
+// consulted, in any PTF. stale marks a strong update at the computing
+// node that bounds the nodes below it differently
+// (analysis.ContentsAfterReading).
+type sweptAnswer struct {
+	names [MaxQueryDepth + 1][]string
+	ids   [MaxQueryDepth + 1]int // pool ids, -1 until interned
+	reads []memmod.LocID
+	stale bool
+}
+
 // snapProc precomputes one procedure's answer vectors.
 func (r *Result) snapProc(proc string, pool *answerPool) (*ProcSnap, error) {
 	cproc := r.an.Proc(proc)
@@ -196,27 +257,36 @@ func (r *Result) snapProc(proc string, pool *answerPool) (*ProcSnap, error) {
 		return nil, fmt.Errorf("pta: analyzed procedure %q has no flow graph", proc)
 	}
 	ps := &ProcSnap{Name: proc}
+	ps.Lines = slices.Grow(ps.Lines, len(cproc.Nodes))
+	ps.Cols = slices.Grow(ps.Cols, len(cproc.Nodes))
+	ps.Vars = slices.Grow(ps.Vars, len(cproc.Locals)+len(cproc.Fn.Params)+len(r.prog.Globals))
 	for _, nd := range cproc.Nodes {
 		ps.Lines = append(ps.Lines, nd.Pos.Line)
 		ps.Cols = append(ps.Cols, nd.Pos.Col)
 	}
-
-	// Nodes holding any points-to record in any context: only these
-	// (plus the entry) can change an answer relative to the immediate
-	// dominator.
-	hot := map[int]bool{}
-	for _, p := range r.an.PTFs(proc) {
-		for id := range p.RecordNodes() {
-			hot[id] = true
-		}
+	b := &procSnapper{
+		r:     r,
+		pool:  pool,
+		proc:  cproc,
+		ptfs:  r.an.PTFs(proc),
+		recs:  make([][]nodeRecord, len(cproc.Nodes)),
+		bound: map[memmod.LocID]bool{},
 	}
+	for _, p := range b.ptfs {
+		r.an.EachRecord(p, func(nd *cfg.Node, loc memmod.LocID, strong bool) {
+			b.recs[nd.ID] = append(b.recs[nd.ID], nodeRecord{loc, strong})
+			b.bound[loc] = true
+		})
+	}
+	b.locs = make([]memmod.LocSet, len(b.ptfs))
+	b.at = make([]*sweptAnswer, len(cproc.Nodes))
+	b.ids = make([]int, len(cproc.Nodes))
 
-	var syms []*cast.Symbol
 	seen := map[string]bool{}
 	addSym := func(sym *cast.Symbol) {
 		if sym != nil && !seen[sym.Name] {
 			seen[sym.Name] = true
-			syms = append(syms, sym)
+			ps.Vars = append(ps.Vars, b.symbol(sym))
 		}
 	}
 	for _, l := range cproc.Locals {
@@ -228,47 +298,172 @@ func (r *Result) snapProc(proc string, pool *answerPool) (*ProcSnap, error) {
 	for _, g := range r.prog.Globals {
 		addSym(g)
 	}
-
-	for _, sym := range syms {
-		vs := VarSnap{Name: sym.Name}
-		for d := 0; d <= MaxQueryDepth; d++ {
-			ids := make([]int, len(cproc.Nodes))
-			constant := true
-			for i, nd := range cproc.Nodes {
-				if i > 0 && !hot[nd.ID] && nd.Idom != nil {
-					ids[i] = ids[nd.Idom.ID]
-				} else {
-					ids[i] = pool.intern(r.pointsToAtNode(proc, sym, d, nd))
-				}
-				if ids[i] != ids[0] {
-					constant = false
-				}
-			}
-			if constant {
-				ids = ids[:1]
-			}
-			vs.Depths[d] = ids
-		}
-		ps.Vars = append(ps.Vars, vs)
+	if len(ps.Vars) == 0 {
+		ps.Vars = nil // an empty table encodes as null
 	}
 	return ps, nil
 }
 
-// answerPool interns answer slices; id 0 is the empty answer.
+// symbol sweeps the flow nodes in reverse postorder, so each node's
+// immediate dominator comes first. An answer can differ from the
+// dominator's only where some PTF records a location that the
+// dominator's answer read, so every other node copies it. Answers enter
+// the pool depth by depth in node order, so their ids come out as if
+// each cell were derived in turn.
+func (b *procSnapper) symbol(sym *cast.Symbol) VarSnap {
+	vs := VarSnap{Name: sym.Name}
+	live := false
+	for i, p := range b.ptfs {
+		b.locs[i] = b.r.an.VarLoc(p, sym, 0, 0)
+		b.reads = b.r.an.ConsultedLocs(b.locs[i], b.reads[:0])
+		for _, id := range b.reads {
+			live = live || b.bound[id]
+		}
+	}
+	if !live {
+		// No record anywhere for what the symbol reads: empty at every
+		// node and depth.
+		for d := range vs.Depths {
+			vs.Depths[d] = []int{0}
+		}
+		return vs
+	}
+
+	nodes := b.proc.Nodes
+	at := b.at
+	for i, nd := range nodes {
+		if i > 0 && nd.Idom != nil {
+			if a := at[nd.Idom.ID]; !b.changes(nd, a) {
+				at[i] = a
+				continue
+			}
+		}
+		at[i] = b.compute(nd)
+	}
+	for d := range vs.Depths {
+		ids := b.ids
+		constant := true
+		for i, a := range at {
+			if a.ids[d] < 0 {
+				a.ids[d] = b.pool.intern(a.names[d])
+			}
+			ids[i] = a.ids[d]
+			constant = constant && ids[i] == ids[0]
+		}
+		if constant {
+			ids = ids[:1]
+		}
+		vs.Depths[d] = slices.Clone(ids)
+	}
+	return vs
+}
+
+// changes reports whether the answer at nd must be recomputed rather
+// than copied from its immediate dominator's answer a.
+func (b *procSnapper) changes(nd *cfg.Node, a *sweptAnswer) bool {
+	recs := b.recs[nd.ID]
+	if len(recs) == 0 {
+		return false
+	}
+	if a.stale {
+		return true
+	}
+	for _, rec := range recs {
+		if _, ok := slices.BinarySearch(a.reads, rec.loc); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// compute derives the symbol's answers at nd at every depth, with the
+// read set that decides where they can be copied.
+func (b *procSnapper) compute(nd *cfg.Node) *sweptAnswer {
+	a := &sweptAnswer{}
+	b.reads = b.reads[:0]
+	var union [MaxQueryDepth + 1]memmod.ValueSet
+	for i, p := range b.ptfs {
+		vals := b.contents(p, b.locs[i], nd, a)
+		union[0].AddAll(vals)
+		for d := 1; d <= MaxQueryDepth; d++ {
+			var next memmod.ValueSet
+			for _, l := range vals.Locs() {
+				next.AddAll(b.contents(p, l, nd, a))
+			}
+			vals = next
+			union[d].AddAll(vals)
+		}
+	}
+	for d := range union {
+		a.names[d] = b.pool.names(b.r, union[d])
+		a.ids[d] = -1
+	}
+	slices.Sort(b.reads)
+	a.reads = slices.Clone(slices.Compact(b.reads))
+	return a
+}
+
+// contents is ContentsAfter that adds what it read to the read set.
+func (b *procSnapper) contents(p *analysis.PTF, v memmod.LocSet, nd *cfg.Node, a *sweptAnswer) memmod.ValueSet {
+	n := len(b.reads)
+	vals, reads, barrier := b.r.an.ContentsAfterReading(p, v, nd, b.reads)
+	b.reads = reads
+	if barrier && !a.stale {
+		for _, rec := range b.recs[nd.ID] {
+			if rec.strong && rec.loc == reads[n] {
+				a.stale = true
+				break
+			}
+		}
+	}
+	return vals
+}
+
+// answerPool interns answer slices; id 0 is the empty answer. It also
+// memoizes answerNames per value-set union, as most recomputed answers
+// repeat a union seen before. Concretize walks a union's members in
+// order, so a memo entry matches on the ordered member list; the
+// fingerprint only picks the bucket.
 type answerPool struct {
-	ids  map[string]int
-	list [][]string
+	ids    map[string]int
+	list   [][]string
+	unions map[uint64][]unionNames
+}
+
+type unionNames struct {
+	locs  []memmod.LocSet
+	names []string
 }
 
 func newAnswerPool() *answerPool {
 	return &answerPool{
-		ids:  map[string]int{"0\x00": 0},
-		list: [][]string{{}},
+		ids:    map[string]int{},
+		list:   [][]string{{}},
+		unions: map[uint64][]unionNames{},
 	}
 }
 
+// names returns r.answerNames(u), memoized.
+func (p *answerPool) names(r *Result, u memmod.ValueSet) []string {
+	if u.IsEmpty() {
+		return nil
+	}
+	fp := u.Fingerprint()
+	for _, e := range p.unions[fp] {
+		if slices.Equal(e.locs, u.Locs()) {
+			return e.names
+		}
+	}
+	names := r.answerNames(u)
+	p.unions[fp] = append(p.unions[fp], unionNames{u.Locs(), names})
+	return names
+}
+
 func (p *answerPool) intern(names []string) int {
-	key := fmt.Sprintf("%d\x00%s", len(names), strings.Join(names, "\x1f"))
+	if len(names) == 0 {
+		return 0
+	}
+	key := strconv.Itoa(len(names)) + "\x00" + strings.Join(names, "\x1f")
 	if id, ok := p.ids[key]; ok {
 		return id
 	}

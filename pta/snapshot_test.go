@@ -264,3 +264,25 @@ func TestDecodeSnapshotRejectsBadInput(t *testing.T) {
 		t.Errorf("wrong format version accepted")
 	}
 }
+
+// BenchmarkSnapshotBuild times Result.Snapshot (answer table, call
+// graph and MOD/REF dump, no diagnostics) over the suite, each program
+// analyzed once outside the timed loop.
+func BenchmarkSnapshotBuild(b *testing.B) {
+	var rs []*Result
+	for _, bm := range workload.Suite() {
+		r, err := AnalyzeSource(bm.Name+".c", bm.Source, &Options{Workers: 1})
+		if err != nil {
+			b.Fatalf("%s: %v", bm.Name, err)
+		}
+		rs = append(rs, r)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range rs {
+			if _, err := r.Snapshot(nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
