@@ -76,11 +76,12 @@ func (c *Client) Analyze(ctx context.Context, files map[string]string, entry str
 	return &resp, snap, nil
 }
 
-// Query submits a batch of demand points-to queries. The first call
-// for an entry converges the program (cold); subsequent calls with
-// unchanged sources answer from the daemon's warm result.
-func (c *Client) Query(ctx context.Context, files map[string]string, entry string, queries []SiteQuery, budget int) (*QueryResponse, error) {
-	body, err := json.Marshal(QueryRequest{Files: files, Entry: entry, Queries: queries, Budget: budget})
+// Query submits a batch of points-to queries. They are answered from
+// the program's snapshot: warm when the daemon holds or stores one for
+// these sources, cold (the daemon analyzes and stores it first)
+// otherwise.
+func (c *Client) Query(ctx context.Context, files map[string]string, entry string, queries []SiteQuery) (*QueryResponse, error) {
+	body, err := json.Marshal(QueryRequest{Files: files, Entry: entry, Queries: queries})
 	if err != nil {
 		return nil, err
 	}

@@ -28,9 +28,20 @@
 // known — so editing one procedure shows up as misses for precisely the
 // procedures whose content hash changed (its own closure and its
 // transitive callers'), while everything else hits. The ledger is the
-// accounting and artifact-reuse layer; feeding it back into the engine
-// to skip re-deriving unchanged PTFs is the separate "incremental
-// re-analysis" roadmap item.
+// accounting and artifact-reuse layer; restoring unchanged PTFs in the
+// engine is the warm-edit graft: every miss leaves its result behind as
+// the entry's baseline, and the entry's next miss grafts onto it.
+//
+// /analyze and POST /query share one miss routine (graft or cold
+// analysis, snapshot, encode, store, ledger, baseline), and every miss
+// holds its snapshot for /query. A query is answered from the answer
+// table of the program's snapshot — held for the entry, or decoded
+// from the store — so it never runs the engine when /analyze has seen
+// the program, and a cold query leaves the same stored snapshot an
+// /analyze miss would. Snapshots are immutable; the query path holds
+// no live analysis and takes no per-entry lock. Expressions carry at
+// most pta.MaxQueryDepth stars (deeper is a 400), there is no visit
+// budget, and QueryMeta.Demand stays zero.
 //
 // Invariants:
 //

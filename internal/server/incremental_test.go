@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"wlpa/pta"
@@ -78,7 +79,7 @@ func TestWarmEditGraft(t *testing.T) {
 
 	// The graft consumed the old baseline and registered a new one
 	// wrapped around the edited result — a further edit grafts again.
-	if srv.baselines.take("edit.c") == nil {
+	if _, ok := srv.baselines.take("edit.c"); !ok {
 		t.Fatalf("no baseline registered after the grafted miss")
 	}
 }
@@ -87,21 +88,26 @@ func TestWarmEditGraft(t *testing.T) {
 // exclusive, put replaces, and the oldest entry is evicted beyond the
 // cap.
 func TestBaselineRegistryLRU(t *testing.T) {
-	br := newBaselineRegistry(0)
-	if br.cap != defaultBaselineCap {
-		t.Fatalf("zero capacity resolved to %d, want %d", br.cap, defaultBaselineCap)
+	srv, _ := newTestServer(t, "")
+	br := srv.baselines
+	if capacity, _, _ := br.stats(); capacity != defaultBaselineCap {
+		t.Fatalf("zero capacity resolved to %d, want %d", capacity, defaultBaselineCap)
 	}
 	mk := func() *pta.Baseline { return &pta.Baseline{} }
+	taken := func(l *lru[*pta.Baseline], entry string) bool {
+		_, ok := l.take(entry)
+		return ok
+	}
 
-	if br.take("a") != nil {
+	if taken(br, "a") {
 		t.Fatal("empty registry returned a baseline")
 	}
 	b1 := mk()
 	br.put("a", b1)
-	if got := br.take("a"); got != b1 {
+	if got, _ := br.take("a"); got != b1 {
 		t.Fatalf("take returned %p, want %p", got, b1)
 	}
-	if br.take("a") != nil {
+	if taken(br, "a") {
 		t.Fatal("take is not exclusive")
 	}
 
@@ -111,10 +117,10 @@ func TestBaselineRegistryLRU(t *testing.T) {
 	for i := 0; i < defaultBaselineCap; i++ {
 		br.put(string(rune('b'+i)), mk())
 	}
-	if br.take("a") != nil {
+	if taken(br, "a") {
 		t.Fatal("oldest entry not evicted beyond the cap")
 	}
-	if br.take(string(rune('b'))) == nil {
+	if !taken(br, string(rune('b'))) {
 		t.Fatal("in-cap entry evicted")
 	}
 	if _, _, ev := br.stats(); ev != 1 {
@@ -122,14 +128,48 @@ func TestBaselineRegistryLRU(t *testing.T) {
 	}
 
 	// A custom capacity holds exactly that many entries.
-	small := newBaselineRegistry(2)
+	small := newLRU[*pta.Baseline](2)
 	small.put("x", mk())
 	small.put("y", mk())
 	small.put("z", mk())
-	if small.take("x") != nil {
+	if taken(small, "x") {
 		t.Fatal("cap-2 registry held three entries")
 	}
 	if cap2, occ, ev := small.stats(); cap2 != 2 || occ != 2 || ev != 1 {
 		t.Fatalf("cap-2 stats: cap=%d occ=%d ev=%d", cap2, occ, ev)
+	}
+}
+
+// editGlobals adds a global to editBase: the baseline no longer
+// applies, whatever the scheduler.
+const editGlobals = `
+int gx, gy, gz;
+int *fp, *gp;
+int hx, hy;
+int *hp;
+void g(void) { gp = &gy; }
+void f(void) { fp = &gx; g(); }
+void h(void) { hp = &hx; }
+int main(void) { f(); h(); return 0; }
+`
+
+// TestFallbackReasonsInMetrics pins that /metrics counts graft
+// fallbacks by reason.
+func TestFallbackReasonsInMetrics(t *testing.T) {
+	_, ts := newTestServer(t, "")
+	c := &Client{Base: ts.URL}
+	ctx := context.Background()
+	for _, src := range []string{editBase, editGlobals} {
+		if _, _, err := c.Analyze(ctx, map[string]string{"edit.c": src}, "edit.c", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{"globals changed": 1}
+	if m.Incremental.Fallbacks != 1 || !reflect.DeepEqual(m.Incremental.FallbackReasons, want) {
+		t.Fatalf("incremental metrics: %+v, want fallback reasons %v", m.Incremental, want)
 	}
 }

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"maps"
 	"sync"
 
 	"wlpa/internal/store"
+	"wlpa/pta"
 )
 
 // latencyBucketsMS are the fixed upper bounds (milliseconds) of the
@@ -56,8 +58,9 @@ type metrics struct {
 	procHits   uint64
 	procMisses uint64
 
-	warmGrafts    uint64
-	warmFallbacks uint64
+	warmGrafts      uint64
+	warmFallbacks   uint64
+	fallbackReasons map[string]uint64
 
 	queryRequests uint64
 	queryWarm     uint64
@@ -67,13 +70,37 @@ type metrics struct {
 }
 
 func newMetrics() *metrics {
-	return &metrics{latency: map[string]*Histogram{
+	return &metrics{fallbackReasons: map[string]uint64{}, latency: map[string]*Histogram{
 		"hash":     newHistogram(),
 		"analyze":  newHistogram(),
 		"snapshot": newHistogram(),
 		"total":    newHistogram(),
 		"query":    newHistogram(),
 	}}
+}
+
+// count increments one of m's counters.
+func (m *metrics) count(c *uint64) {
+	m.mu.Lock()
+	*c++
+	m.mu.Unlock()
+}
+
+// incremental counts a miss that ran through the incremental engine: a
+// graft, or a fallback under its reason. inc is nil when the miss had
+// no baseline.
+func (m *metrics) incremental(inc *pta.IncrStats) {
+	if inc == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if inc.Fallback == "" {
+		m.warmGrafts++
+		return
+	}
+	m.warmFallbacks++
+	m.fallbackReasons[inc.Fallback]++
 }
 
 func (m *metrics) observe(phase string, ms float64) {
@@ -100,10 +127,12 @@ type MetricsSnapshot struct {
 	} `json:"proc_ledger"`
 	// Incremental counts misses that had a warm-edit baseline available:
 	// grafts reconverged only the edit's dirty cone, fallbacks found the
-	// baseline inapplicable and ran cold.
+	// baseline inapplicable and ran cold. FallbackReasons splits the
+	// fallbacks by their IncrStats.Fallback reason.
 	Incremental struct {
-		Grafts    uint64 `json:"grafts"`
-		Fallbacks uint64 `json:"fallbacks"`
+		Grafts          uint64            `json:"grafts"`
+		Fallbacks       uint64            `json:"fallbacks"`
+		FallbackReasons map[string]uint64 `json:"fallback_reasons"`
 	} `json:"incremental"`
 	// Baselines reports the warm-edit baseline LRU: its configured
 	// capacity, how many entries it currently holds, and how many were
@@ -113,9 +142,9 @@ type MetricsSnapshot struct {
 		Occupancy int    `json:"occupancy"`
 		Evictions uint64 `json:"evictions"`
 	} `json:"baselines"`
-	// Query reports the demand-query endpoint: warm requests answered
-	// from a held result without running the engine, cold requests that
-	// converged first, and the warm-result LRU's state.
+	// Query reports the /query endpoint: warm requests answered from a
+	// snapshot without running the engine, cold requests that ran the
+	// miss first, and the state of the LRU of held snapshots.
 	Query struct {
 		Requests  uint64 `json:"requests"`
 		Warm      uint64 `json:"warm"`
@@ -140,6 +169,7 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	out.ProcLedger.Misses = m.procMisses
 	out.Incremental.Grafts = m.warmGrafts
 	out.Incremental.Fallbacks = m.warmFallbacks
+	out.Incremental.FallbackReasons = maps.Clone(m.fallbackReasons)
 	out.Query.Requests = m.queryRequests
 	out.Query.Warm = m.queryWarm
 	out.Query.Cold = m.queryCold

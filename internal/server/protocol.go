@@ -73,14 +73,13 @@ type SiteQuery struct {
 }
 
 // QueryRequest is the POST /query body. Files and Entry are as in
-// AnalyzeRequest; Queries are answered in order. Budget optionally
-// overrides the demand walker's per-query visit budget (0 = default);
-// like all budgets it trades time, never answers.
+// AnalyzeRequest; Queries are answered in order from the program's
+// snapshot, so an expression may carry at most pta.MaxQueryDepth stars
+// (a deeper one makes the request a 400).
 type QueryRequest struct {
 	Files   map[string]string `json:"files"`
 	Entry   string            `json:"entry"`
 	Queries []SiteQuery       `json:"queries"`
-	Budget  int               `json:"budget,omitempty"`
 }
 
 // QueryAnswer is one answered site: the query echoed back plus the
@@ -95,22 +94,24 @@ type QueryAnswer struct {
 
 // QueryMeta is the server-side metadata of one /query response.
 type QueryMeta struct {
-	// Cache is "warm" (answered from a held converged result, engine not
-	// run) or "cold" (the engine converged the program first).
+	// Cache is "warm" (answered from a snapshot held for the entry or
+	// found in the store, engine not run) or "cold" (the request ran
+	// the same miss as /analyze first).
 	Cache string `json:"cache"`
-	// Key is the program's IR root hash — the identity the warm result
-	// is held under.
+	// Key is the program's IR root hash — the identity the snapshot is
+	// held under.
 	Key string `json:"key"`
-	// Timings in milliseconds (hash and analyze are 0 on warm GETs).
+	// Timings in milliseconds (hash is 0 on GETs, analyze 0 unless
+	// cold).
 	HashMS    float64 `json:"hash_ms,omitempty"`
 	AnalyzeMS float64 `json:"analyze_ms,omitempty"`
 	TotalMS   float64 `json:"total_ms"`
 	// On a cold run, the per-procedure ledger outcome (see AnalyzeMeta).
 	ProcHits   []string `json:"proc_hits,omitempty"`
 	ProcMisses []string `json:"proc_misses,omitempty"`
-	// Demand reports the walker work this request performed: nodes
-	// visited, records probed, calls skipped via MOD effects, and
-	// budget-exhaustion fallbacks to the exhaustive layer.
+	// Demand is always zero: answers come from the snapshot table, not
+	// from the demand walker. The field stays so existing readers of
+	// the response keep decoding it.
 	Demand demand.Stats `json:"demand"`
 }
 
@@ -118,16 +119,4 @@ type QueryMeta struct {
 type QueryResponse struct {
 	Meta    QueryMeta     `json:"meta"`
 	Answers []QueryAnswer `json:"answers"`
-}
-
-// delta subtracts two cumulative walker stats snapshots, isolating one
-// request's work.
-func delta(before, after demand.Stats) demand.Stats {
-	return demand.Stats{
-		Queries:      after.Queries - before.Queries,
-		NodesVisited: after.NodesVisited - before.NodesVisited,
-		Probes:       after.Probes - before.Probes,
-		SkippedCalls: after.SkippedCalls - before.SkippedCalls,
-		Fallbacks:    after.Fallbacks - before.Fallbacks,
-	}
 }

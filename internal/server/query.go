@@ -5,103 +5,35 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
+	"strings"
 	"time"
 
-	"wlpa/internal/cfg"
-	"wlpa/internal/irhash"
 	"wlpa/pta"
 )
 
-// maxQueryResults bounds how many warm query results the daemon keeps
-// alive. Unlike warm-edit baselines these are never consumed — a demand
-// query reads the converged analysis without invalidating it — but each
-// one pins a full analysis web, so the registry stays small. Kept
-// strictly disjoint from baselineRegistry: a warm-edit graft mutates
-// its baseline's analysis in place, which would corrupt any query view
-// sharing it.
-const maxQueryResults = 4
-
-// queryEntry is one warm program held for demand queries. The mutex
-// serializes queries against the shared result: a demand walk may
-// intern new location sets and populates ptset lookup caches, so
-// concurrent readers would race on the underlying analysis.
+// queryEntry is one program held for /query: the snapshot of the
+// program whose IR root it records. Snapshots are immutable, so
+// readers share an entry without locking.
 type queryEntry struct {
-	mu   sync.Mutex
-	root string // irhash root the result was converged for
-	res  *pta.Result
-	d    *pta.Demand // default-budget view, reused across requests
+	root string
+	snap *pta.Snapshot
 }
 
-// queryRegistry is a non-consuming LRU of warm query results, keyed by
-// entry name.
-type queryRegistry struct {
-	mu        sync.Mutex
-	entries   map[string]*queryEntry
-	order     []string // LRU order, oldest first
-	evictions uint64
-}
-
-func newQueryRegistry() *queryRegistry {
-	return &queryRegistry{entries: map[string]*queryEntry{}}
-}
-
-// get returns the warm entry registered under entry (nil when none is),
-// refreshing its LRU position. The caller must check root before using
-// it and must hold the entry's mutex while querying.
-func (qr *queryRegistry) get(entry string) *queryEntry {
-	qr.mu.Lock()
-	defer qr.mu.Unlock()
-	e := qr.entries[entry]
-	if e != nil {
-		qr.remove(entry)
-		qr.order = append(qr.order, entry)
+// checkDepth rejects a query expression the snapshot cannot answer.
+func checkDepth(expr string) error {
+	if stars := len(expr) - len(strings.TrimLeft(expr, "*")); stars > pta.MaxQueryDepth {
+		return fmt.Errorf("query %q dereferences %d times; at most %d are answered", expr, stars, pta.MaxQueryDepth)
 	}
-	return e
+	return nil
 }
 
-// put registers (or replaces) the warm entry, evicting the least
-// recently used beyond capacity.
-func (qr *queryRegistry) put(entry string, e *queryEntry) {
-	qr.mu.Lock()
-	defer qr.mu.Unlock()
-	if _, ok := qr.entries[entry]; ok {
-		qr.remove(entry)
-	}
-	qr.entries[entry] = e
-	qr.order = append(qr.order, entry)
-	for len(qr.order) > maxQueryResults {
-		oldest := qr.order[0]
-		qr.order = qr.order[1:]
-		delete(qr.entries, oldest)
-		qr.evictions++
-	}
-}
-
-func (qr *queryRegistry) stats() (occupancy int, evictions uint64) {
-	qr.mu.Lock()
-	defer qr.mu.Unlock()
-	return len(qr.entries), qr.evictions
-}
-
-func (qr *queryRegistry) remove(entry string) {
-	for i, e := range qr.order {
-		if e == entry {
-			qr.order = append(qr.order[:i], qr.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// handleQueryGet answers a single site query strictly from warm state:
-// the entry must have been analyzed by a prior POST /query (or the
-// response is 404 and the client should POST the sources). This is the
-// microsecond path — no frontend, no hashing, no engine.
+// handleQueryGet answers a single site query strictly from the held
+// snapshot: the entry must have been analyzed or queried before (or the
+// response is 404 and the client should POST the sources). No frontend,
+// no hashing, no engine.
 func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	s.metrics.mu.Lock()
-	s.metrics.queryRequests++
-	s.metrics.mu.Unlock()
+	s.metrics.count(&s.metrics.queryRequests)
 
 	q := r.URL.Query()
 	entry := q.Get("entry")
@@ -113,44 +45,34 @@ func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("query needs entry, proc, line (integer) and expr parameters"))
 		return
 	}
-
-	e := s.queries.get(entry)
-	if e == nil {
-		s.fail(w, r, t0, http.StatusNotFound,
-			fmt.Errorf("no warm result for entry %q: POST /query with the sources first", entry))
+	if err := checkDepth(expr); err != nil {
+		s.fail(w, r, t0, http.StatusBadRequest, err)
 		return
 	}
 
-	e.mu.Lock()
-	before := e.d.Stats()
-	pts := e.d.PointsToAt(proc, line, expr)
-	stats := delta(before, e.d.Stats())
-	e.mu.Unlock()
+	e, ok := s.queries.get(entry)
+	if !ok {
+		s.fail(w, r, t0, http.StatusNotFound,
+			fmt.Errorf("no snapshot held for entry %q: POST /query with the sources first", entry))
+		return
+	}
 
-	meta := QueryMeta{Cache: "warm", Key: e.root, Demand: stats, TotalMS: ms(time.Since(t0))}
-	s.metrics.mu.Lock()
-	s.metrics.queryWarm++
-	s.metrics.mu.Unlock()
-	s.metrics.observe("query", meta.TotalMS)
-	s.logRequest(r, http.StatusOK, t0, "warm", entry, 0)
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Meta:    meta,
-		Answers: []QueryAnswer{{Proc: proc, Line: line, Expr: expr, PointsTo: pts}},
-	})
+	meta := QueryMeta{Cache: "warm", Key: e.root}
+	answers := []QueryAnswer{{Proc: proc, Line: line, Expr: expr, PointsTo: e.snap.PointsToAt(proc, line, expr)}}
+	s.metrics.count(&s.metrics.queryWarm)
+	s.answerQuery(w, r, t0, entry, meta, answers)
 }
 
-// handleQueryPost answers a batch of site queries, converging the
-// program first if no warm result matches the sources. A cold run pays
-// one engine pass (recorded in the per-procedure ledger like /analyze
-// misses) and leaves the result warm for subsequent GETs; a warm run
-// answers demand-driven without touching the engine or materializing a
-// snapshot. Either way the answers are bit-identical to what /analyze's
-// snapshot would report for the same sites.
+// handleQueryPost answers a batch of site queries from the program's
+// snapshot. It is warm when the snapshot held for the entry matches the
+// sources' IR root or the store already holds one (decoded, no engine
+// run); otherwise it is cold and goes through the same miss as
+// /analyze, leaving a stored snapshot, a ledger record and a warm-edit
+// baseline behind. Either way the answers are the ones /analyze's
+// snapshot reports for the same sites.
 func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	s.metrics.mu.Lock()
-	s.metrics.queryRequests++
-	s.metrics.mu.Unlock()
+	s.metrics.count(&s.metrics.queryRequests)
 
 	var req QueryRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
@@ -158,88 +80,77 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, t0, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	if len(req.Files) == 0 || req.Entry == "" || req.Files[req.Entry] == "" {
-		s.fail(w, r, t0, http.StatusBadRequest,
-			fmt.Errorf("request must carry files and an entry naming one of them"))
-		return
-	}
 	if len(req.Queries) == 0 {
 		s.fail(w, r, t0, http.StatusBadRequest, fmt.Errorf("request carries no queries"))
 		return
 	}
-
-	prog, err := pta.Frontend(pta.Source(req.Files), req.Entry, s.cfg.Options.Predefined)
-	if err != nil {
-		s.fail(w, r, t0, http.StatusUnprocessableEntity, err)
-		return
-	}
-	procs, err := cfg.BuildAll(prog.Funcs)
-	if err != nil {
-		s.fail(w, r, t0, http.StatusUnprocessableEntity, err)
-		return
-	}
-	ir := irhash.HashProcs(prog, procs)
-	hashDur := time.Since(t0)
-	s.metrics.observe("hash", ms(hashDur))
-	meta := QueryMeta{Key: ir.Root, HashMS: ms(hashDur)}
-
-	e := s.queries.get(req.Entry)
-	if e == nil || e.root != ir.Root {
-		// Cold: converge the program under the in-flight bound, record
-		// the per-procedure ledger, and register the result warm. The
-		// result is deliberately NOT handed to the warm-edit baseline
-		// registry — grafting would mutate it under our feet.
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		case <-r.Context().Done():
-			s.fail(w, r, t0, http.StatusServiceUnavailable,
-				fmt.Errorf("no analysis slot available: %w", r.Context().Err()))
+	for _, sq := range req.Queries {
+		if err := checkDepth(sq.Expr); err != nil {
+			s.fail(w, r, t0, http.StatusBadRequest, err)
 			return
 		}
-		ta := time.Now()
-		opts := s.cfg.Options
-		res, err := pta.AnalyzeProgram(prog, &opts)
-		if err != nil {
-			s.fail(w, r, t0, http.StatusUnprocessableEntity, err)
-			return
-		}
-		meta.AnalyzeMS = ms(time.Since(ta))
-		s.metrics.observe("analyze", meta.AnalyzeMS)
-		meta.ProcHits, meta.ProcMisses = s.recordProcLedger(res, ir)
-		e = &queryEntry{root: ir.Root, res: res, d: res.Demand(nil)}
-		s.queries.put(req.Entry, e)
-		meta.Cache = "cold"
-		s.metrics.mu.Lock()
-		s.metrics.queryCold++
-		s.metrics.mu.Unlock()
-	} else {
+	}
+	src, status, err := s.frontend(t0, req.Files, req.Entry)
+	if err != nil {
+		s.fail(w, r, t0, status, err)
+		return
+	}
+	meta := QueryMeta{Key: src.ir.Root, HashMS: src.hashMS}
+
+	snap := s.heldSnapshot(src)
+	if snap != nil {
 		meta.Cache = "warm"
-		s.metrics.mu.Lock()
-		s.metrics.queryWarm++
-		s.metrics.mu.Unlock()
+		s.metrics.count(&s.metrics.queryWarm)
+	} else {
+		m, status, err := s.miss(r.Context(), src, false)
+		if err != nil {
+			s.fail(w, r, t0, status, err)
+			return
+		}
+		snap = m.snap
+		meta.Cache = "cold"
+		meta.AnalyzeMS = m.analyzeMS
+		meta.ProcHits, meta.ProcMisses = m.procHits, m.procMisses
+		s.metrics.count(&s.metrics.queryCold)
 	}
 
-	e.mu.Lock()
-	d := e.d
-	if req.Budget > 0 {
-		// A per-request budget gets its own view; the shared default
-		// view keeps cumulative stats meaningful across requests.
-		d = e.res.Demand(&pta.DemandOptions{Budget: req.Budget})
-	}
-	before := d.Stats()
 	answers := make([]QueryAnswer, len(req.Queries))
 	for i, sq := range req.Queries {
 		answers[i] = QueryAnswer{
 			Proc: sq.Proc, Line: sq.Line, Expr: sq.Expr,
-			PointsTo: d.PointsToAt(sq.Proc, sq.Line, sq.Expr),
+			PointsTo: snap.PointsToAt(sq.Proc, sq.Line, sq.Expr),
 		}
 	}
-	meta.Demand = delta(before, d.Stats())
-	e.mu.Unlock()
+	s.answerQuery(w, r, t0, req.Entry, meta, answers)
+}
 
+// heldSnapshot returns a snapshot of the program without running the
+// engine: the one held for the entry if its IR root matches, else one
+// the store holds under either program key, decoded and held. Nil when
+// neither has it.
+func (s *Server) heldSnapshot(src *source) *pta.Snapshot {
+	if e, ok := s.queries.get(src.entry); ok && e.root == src.ir.Root {
+		return e.snap
+	}
+	for _, diags := range []bool{false, true} {
+		data, ok := s.store.Get(s.programKey(src.ir.Root, diags))
+		if !ok {
+			continue
+		}
+		snap, err := pta.DecodeSnapshot(data)
+		if err != nil {
+			s.log.Warn("stored snapshot does not decode", "entry", src.entry, "err", err)
+			continue
+		}
+		s.queries.put(src.entry, &queryEntry{root: src.ir.Root, snap: snap})
+		return snap
+	}
+	return nil
+}
+
+func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, t0 time.Time, entry string, meta QueryMeta, answers []QueryAnswer) {
 	meta.TotalMS = ms(time.Since(t0))
 	s.metrics.observe("query", meta.TotalMS)
-	s.logRequest(r, http.StatusOK, t0, meta.Cache, req.Entry, 0)
+	s.logRequest(r, http.StatusOK, t0, meta.Cache, entry, 0)
 	writeJSON(w, http.StatusOK, QueryResponse{Meta: meta, Answers: answers})
 }

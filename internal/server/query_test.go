@@ -7,8 +7,11 @@ import (
 	"net/http"
 	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 
+	"wlpa/internal/demand"
+	"wlpa/internal/workload"
 	"wlpa/pta"
 )
 
@@ -27,10 +30,10 @@ func queryRef(t *testing.T, src string, sites []SiteQuery) [][]string {
 	return out
 }
 
-// TestQueryEndpoint drives /query through its cold and warm paths and
-// pins the answers against the whole-program result.
+// TestQueryEndpoint drives POST /query through its cold and warm paths
+// and pins the answers against the whole-program result.
 func TestQueryEndpoint(t *testing.T) {
-	srv, ts := newTestServer(t, t.TempDir())
+	_, ts := newTestServer(t, t.TempDir())
 	c := &Client{Base: ts.URL}
 	ctx := context.Background()
 
@@ -44,18 +47,18 @@ func TestQueryEndpoint(t *testing.T) {
 	want := queryRef(t, editBase, sites)
 	files := map[string]string{"q.c": editBase}
 
-	cold, err := c.Query(ctx, files, "q.c", sites, 0)
+	cold, err := c.Query(ctx, files, "q.c", sites)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Meta.Cache != "cold" {
-		t.Fatalf("first query: cache=%q, want cold", cold.Meta.Cache)
-	}
-	if cold.Meta.AnalyzeMS == 0 && cold.Meta.Demand.Queries == 0 {
-		t.Fatalf("cold meta recorded no work: %+v", cold.Meta)
+	if cold.Meta.Cache != "cold" || cold.Meta.AnalyzeMS == 0 {
+		t.Fatalf("first query: %+v, want a cold run", cold.Meta)
 	}
 	if len(cold.Meta.ProcMisses) == 0 {
 		t.Fatalf("cold query did not record the proc ledger: %+v", cold.Meta)
+	}
+	if cold.Meta.Demand != (demand.Stats{}) {
+		t.Fatalf("demand stats %+v, want zero", cold.Meta.Demand)
 	}
 	for i, a := range cold.Answers {
 		if !reflect.DeepEqual(nonEmpty(a.PointsTo), nonEmpty(want[i])) {
@@ -68,13 +71,7 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatal("fp answered empty at main's return")
 	}
 
-	// A cold /query must not register a warm-edit baseline: grafting
-	// would mutate the analysis the warm query registry still serves.
-	if srv.baselines.take("q.c") != nil {
-		t.Fatal("cold query leaked a result into the baseline registry")
-	}
-
-	warm, err := c.Query(ctx, files, "q.c", sites, 0)
+	warm, err := c.Query(ctx, files, "q.c", sites)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,21 +82,18 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatalf("warm answers differ from cold:\n%v\n%v", warm.Answers, cold.Answers)
 	}
 
-	// A starvation budget answers identically through the fallback.
-	starved, err := c.Query(ctx, files, "q.c", sites, 1)
+	// The cold query stored the program's snapshot: /analyze hits.
+	an, _, err := c.Analyze(ctx, files, "q.c", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(starved.Answers, cold.Answers) {
-		t.Fatalf("budget-1 answers differ:\n%v\n%v", starved.Answers, cold.Answers)
-	}
-	if starved.Meta.Demand.Fallbacks == 0 {
-		t.Fatalf("budget 1 never fell back: %+v", starved.Meta.Demand)
+	if an.Meta.Cache != "hit" {
+		t.Fatalf("/analyze after a cold query: cache=%q, want hit", an.Meta.Cache)
 	}
 
-	// An edit changes the IR root: the held result no longer applies and
-	// the query runs cold again.
-	edited, err := c.Query(ctx, map[string]string{"q.c": editChanged}, "q.c", sites[:1], 0)
+	// An edit changes the IR root: the held snapshot no longer applies
+	// and the query runs cold again.
+	edited, err := c.Query(ctx, map[string]string{"q.c": editChanged}, "q.c", sites[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,26 +101,83 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatalf("edited query served stale state: %+v", edited.Meta)
 	}
 
+	// The snapshot answers two stars at most.
+	if _, err := c.Query(ctx, files, "q.c", []SiteQuery{{Proc: "main", Line: 9, Expr: "***fp"}}); err == nil ||
+		!strings.Contains(err.Error(), "at most 2") {
+		t.Fatalf("three-star query: err=%v, want a refusal", err)
+	}
+
 	m, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Query.Requests != 4 || m.Query.Cold != 2 || m.Query.Warm != 2 {
+	if m.Query.Requests != 4 || m.Query.Cold != 2 || m.Query.Warm != 1 {
 		t.Fatalf("query counters: %+v", m.Query)
 	}
 	if m.Query.Occupancy != 1 {
 		t.Fatalf("query registry occupancy = %d, want 1 (same entry replaced)", m.Query.Occupancy)
 	}
-	if m.Baselines.Capacity != defaultBaselineCap || m.Baselines.Occupancy != 0 {
+	// Both cold queries left a baseline; the second consumed the first.
+	if m.Baselines.Capacity != defaultBaselineCap || m.Baselines.Occupancy != 1 {
 		t.Fatalf("baseline metrics: %+v", m.Baselines)
 	}
-	if h := m.LatencyMS["query"]; h == nil || h.Count != 4 {
+	if h := m.LatencyMS["query"]; h == nil || h.Count != 3 {
 		t.Fatalf("query latency histogram: %+v", m.LatencyMS["query"])
 	}
 }
 
-// TestQueryGet pins the GET path: warm-only, microsecond-class, 404
-// without a prior POST, 400 on malformed parameters.
+// TestQueryAfterAnalyzeIsWarm pins that a POST /query right after
+// /analyze of the same program answers from the snapshot the miss left
+// behind without running the engine, and that its answers equal the
+// in-process Result.PointsToAt at every sampled site of every suite
+// program.
+func TestQueryAfterAnalyzeIsWarm(t *testing.T) {
+	_, ts := newTestServer(t, "")
+	c := &Client{Base: ts.URL}
+	ctx := context.Background()
+	for _, b := range workload.Suite() {
+		entry := b.Name + ".c"
+		files := map[string]string{entry: b.Source}
+		ref, err := pta.AnalyzeSource(entry, b.Source, &pta.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sites []SiteQuery
+		for _, s := range ref.SampleQuerySites(16) {
+			sites = append(sites, SiteQuery{Proc: s.Proc, Line: s.Line, Expr: s.Expr})
+		}
+		if _, _, err := c.Analyze(ctx, files, entry, false); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		before, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Query(ctx, files, entry, sites)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		after, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Meta.Cache != "warm" || resp.Meta.AnalyzeMS != 0 {
+			t.Fatalf("%s: query after /analyze: %+v", b.Name, resp.Meta)
+		}
+		if n0, n1 := before.LatencyMS["analyze"].Count, after.LatencyMS["analyze"].Count; n0 != n1 {
+			t.Fatalf("%s: the warm query ran the engine (analyze count %d -> %d)", b.Name, n0, n1)
+		}
+		for i, a := range resp.Answers {
+			if want := ref.PointsToAt(sites[i].Proc, sites[i].Line, sites[i].Expr); !reflect.DeepEqual(nonEmpty(a.PointsTo), nonEmpty(want)) {
+				t.Errorf("%s %s:%d %q: got %v, want %v", b.Name, a.Proc, a.Line, a.Expr, a.PointsTo, want)
+			}
+		}
+	}
+}
+
+// TestQueryGet pins the GET path: answered from the held snapshot, 404
+// before any POST, 400 on malformed parameters and on more than two
+// stars.
 func TestQueryGet(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir())
 	c := &Client{Base: ts.URL}
@@ -154,7 +205,7 @@ func TestQueryGet(t *testing.T) {
 	}
 
 	sites := []SiteQuery{{Proc: "main", Line: 9, Expr: "fp"}}
-	post, err := c.Query(ctx, map[string]string{"q.c": editBase}, "q.c", sites, 0)
+	post, err := c.Query(ctx, map[string]string{"q.c": editBase}, "q.c", sites)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,39 +225,51 @@ func TestQueryGet(t *testing.T) {
 	if _, code := get(bad); code != http.StatusBadRequest {
 		t.Fatalf("malformed line: HTTP %d, want 400", code)
 	}
+	deep := url.Values{"entry": {"q.c"}, "proc": {"main"}, "line": {"9"}, "expr": {"***fp"}}
+	if _, code := get(deep); code != http.StatusBadRequest {
+		t.Fatalf("three-star query: HTTP %d, want 400", code)
+	}
 }
 
-// TestQueryRegistryLRU pins the warm-result LRU: non-consuming get,
+// TestQueryRegistryLRU pins the snapshot LRU: non-consuming get,
 // replacement, eviction beyond capacity.
 func TestQueryRegistryLRU(t *testing.T) {
-	qr := newQueryRegistry()
+	srv, _ := newTestServer(t, "")
+	qr := srv.queries
 	mk := func(root string) *queryEntry { return &queryEntry{root: root} }
+	root := func(entry string) string {
+		e, ok := qr.get(entry)
+		if !ok {
+			return ""
+		}
+		return e.root
+	}
 
 	qr.put("a", mk("r1"))
-	if e := qr.get("a"); e == nil || e.root != "r1" {
-		t.Fatalf("get(a) = %+v", e)
+	if got := root("a"); got != "r1" {
+		t.Fatalf("get(a) = %q", got)
 	}
-	if e := qr.get("a"); e == nil {
+	if root("a") == "" {
 		t.Fatal("get consumed the entry")
 	}
 	qr.put("a", mk("r2"))
-	if e := qr.get("a"); e.root != "r2" {
-		t.Fatalf("replacement kept old root %q", e.root)
+	if got := root("a"); got != "r2" {
+		t.Fatalf("replacement kept old root %q", got)
 	}
 	for i := 0; i < maxQueryResults-1; i++ {
 		qr.put(fmt.Sprintf("e%d", i), mk("r"))
 	}
 	// At capacity: refresh "a", then one more put must evict the oldest
 	// un-refreshed entry (e0), not "a".
-	qr.get("a")
+	root("a")
 	qr.put("z", mk("r"))
-	if qr.get("e0") != nil {
+	if root("e0") != "" {
 		t.Fatal("LRU entry survived beyond capacity")
 	}
-	if qr.get("a") == nil {
+	if root("a") == "" {
 		t.Fatal("recently-used entry evicted")
 	}
-	if occ, ev := qr.stats(); occ != maxQueryResults || ev != 1 {
+	if _, occ, ev := qr.stats(); occ != maxQueryResults || ev != 1 {
 		t.Fatalf("stats: occ=%d ev=%d", occ, ev)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -8,8 +9,10 @@ import (
 	"sort"
 	"time"
 
+	"wlpa/internal/cast"
 	"wlpa/internal/cfg"
 	"wlpa/internal/irhash"
+	"wlpa/internal/sem"
 	"wlpa/internal/store"
 	"wlpa/pta"
 )
@@ -49,8 +52,8 @@ type Server struct {
 	log       *slog.Logger
 	sem       chan struct{}
 	metrics   *metrics
-	baselines *baselineRegistry
-	queries   *queryRegistry
+	baselines *lru[*pta.Baseline]
+	queries   *lru[*queryEntry]
 	started   time.Time
 }
 
@@ -61,6 +64,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 2
+	}
+	if cfg.BaselineCap <= 0 {
+		cfg.BaselineCap = defaultBaselineCap
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -73,8 +79,8 @@ func New(cfg Config) (*Server, error) {
 		log:       log,
 		sem:       make(chan struct{}, cfg.MaxInflight),
 		metrics:   newMetrics(),
-		baselines: newBaselineRegistry(cfg.BaselineCap),
-		queries:   newQueryRegistry(),
+		baselines: newLRU[*pta.Baseline](cfg.BaselineCap),
+		queries:   newLRU[*queryEntry](maxQueryResults),
 		started:   time.Now(),
 	}, nil
 }
@@ -108,7 +114,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.UptimeSeconds = time.Since(s.started).Seconds()
 	snap.Store = s.store.Stats()
 	snap.Baselines.Capacity, snap.Baselines.Occupancy, snap.Baselines.Evictions = s.baselines.stats()
-	snap.Query.Occupancy, snap.Query.Evictions = s.queries.stats()
+	_, snap.Query.Occupancy, snap.Query.Evictions = s.queries.stats()
 	writeJSON(w, http.StatusOK, snap)
 }
 
@@ -130,53 +136,101 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, t0, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	if len(req.Files) == 0 || req.Entry == "" || req.Files[req.Entry] == "" {
-		s.fail(w, r, t0, http.StatusBadRequest,
-			fmt.Errorf("request must carry files and an entry naming one of them"))
-		return
-	}
-
-	// Frontend + content hash: cheap relative to the engine, and the
-	// only work a warm request pays. The flow graphs are built once and
-	// shared between hashing and the incremental graft below.
-	prog, err := pta.Frontend(pta.Source(req.Files), req.Entry, s.cfg.Options.Predefined)
+	src, status, err := s.frontend(t0, req.Files, req.Entry)
 	if err != nil {
-		s.fail(w, r, t0, http.StatusUnprocessableEntity, err)
+		s.fail(w, r, t0, status, err)
 		return
 	}
-	procs, err := cfg.BuildAll(prog.Funcs)
-	if err != nil {
-		s.fail(w, r, t0, http.StatusUnprocessableEntity, err)
-		return
-	}
-	ir := irhash.HashProcs(prog, procs)
-	hashDur := time.Since(t0)
-	s.metrics.observe("hash", ms(hashDur))
-
-	key := store.KeyOf("program", pta.SnapshotFormat, s.optsFP,
-		fmt.Sprintf("diags=%v", req.Diagnostics), ir.Root)
-	meta := AnalyzeMeta{Key: key.String(), HashMS: ms(hashDur)}
+	key := s.programKey(src.ir.Root, req.Diagnostics)
+	meta := AnalyzeMeta{Key: key.String(), HashMS: src.hashMS}
 
 	if data, ok := s.store.Get(key); ok {
 		meta.Cache = "hit"
 		meta.TotalMS = ms(time.Since(t0))
-		s.metrics.mu.Lock()
-		s.metrics.analyzeHits++
-		s.metrics.mu.Unlock()
+		s.metrics.count(&s.metrics.analyzeHits)
 		s.metrics.observe("total", meta.TotalMS)
 		s.logRequest(r, http.StatusOK, t0, "hit", req.Entry, len(data))
 		writeJSON(w, http.StatusOK, AnalyzeResponse{Meta: meta, Snapshot: data})
 		return
 	}
 
-	// Miss: run the engine under the in-flight bound.
+	m, status, err := s.miss(r.Context(), src, req.Diagnostics)
+	if err != nil {
+		s.fail(w, r, t0, status, err)
+		return
+	}
+	meta.Cache = "miss"
+	meta.AnalyzeMS = m.analyzeMS
+	meta.SnapshotMS = m.snapshotMS
+	meta.ProcHits, meta.ProcMisses = m.procHits, m.procMisses
+	meta.Incremental = m.incr
+	meta.TotalMS = ms(time.Since(t0))
+	s.metrics.count(&s.metrics.analyzeMisses)
+	s.metrics.observe("total", meta.TotalMS)
+	s.logRequest(r, http.StatusOK, t0, "miss", req.Entry, len(m.data))
+	writeJSON(w, http.StatusOK, AnalyzeResponse{Meta: meta, Snapshot: m.data})
+}
+
+// source is one request's program after the frontend: its flow graphs,
+// built once and shared between hashing and a warm-edit graft, and its
+// IR hash.
+type source struct {
+	entry  string
+	prog   *sem.Program
+	procs  map[*cast.FuncDecl]*cfg.Proc
+	ir     *irhash.Program
+	hashMS float64
+}
+
+// frontend parses, builds and hashes a request's sources: cheap
+// relative to the engine, and the only work a warm request pays. Its
+// time is reported from the request's start t0. On failure it also
+// returns the response status.
+func (s *Server) frontend(t0 time.Time, files map[string]string, entry string) (*source, int, error) {
+	if len(files) == 0 || entry == "" || files[entry] == "" {
+		return nil, http.StatusBadRequest, fmt.Errorf("request must carry files and an entry naming one of them")
+	}
+	prog, err := pta.Frontend(pta.Source(files), entry, s.cfg.Options.Predefined)
+	if err != nil {
+		return nil, http.StatusUnprocessableEntity, err
+	}
+	procs, err := cfg.BuildAll(prog.Funcs)
+	if err != nil {
+		return nil, http.StatusUnprocessableEntity, err
+	}
+	src := &source{entry: entry, prog: prog, procs: procs, ir: irhash.HashProcs(prog, procs)}
+	src.hashMS = ms(time.Since(t0))
+	s.metrics.observe("hash", src.hashMS)
+	return src, 0, nil
+}
+
+// programKey is the store key of a program's snapshot.
+func (s *Server) programKey(root string, diags bool) store.Key {
+	return store.KeyOf("program", pta.SnapshotFormat, s.optsFP, fmt.Sprintf("diags=%v", diags), root)
+}
+
+// missOutcome is what a miss produced: the snapshot, its stored bytes,
+// and the figures the response meta reports.
+type missOutcome struct {
+	snap                  *pta.Snapshot
+	data                  []byte
+	analyzeMS, snapshotMS float64
+	incr                  *pta.IncrStats
+	procHits, procMisses  []string
+}
+
+// miss is the one path that runs the engine, shared by /analyze and
+// POST /query: under the in-flight bound it grafts onto the entry's
+// warm-edit baseline or analyzes cold, builds and encodes the snapshot,
+// stores it, records the per-procedure ledger, and registers the
+// result as the entry's next baseline and its snapshot for /query. On
+// failure it also returns the response status.
+func (s *Server) miss(ctx context.Context, src *source, diags bool) (*missOutcome, int, error) {
 	select {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
-	case <-r.Context().Done():
-		s.fail(w, r, t0, http.StatusServiceUnavailable,
-			fmt.Errorf("no analysis slot available: %w", r.Context().Err()))
-		return
+	case <-ctx.Done():
+		return nil, http.StatusServiceUnavailable, fmt.Errorf("no analysis slot available: %w", ctx.Err())
 	}
 
 	// A registered baseline for this entry turns the miss into a
@@ -187,66 +241,42 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	ta := time.Now()
 	opts := s.cfg.Options
 	var res *pta.Result
-	if bl := s.baselines.take(req.Entry); bl != nil {
-		res, err = pta.AnalyzeIncrementalPrepared(bl, prog, procs, ir, &opts)
+	var err error
+	if bl, ok := s.baselines.take(src.entry); ok {
+		res, err = pta.AnalyzeIncrementalPrepared(bl, src.prog, src.procs, src.ir, &opts)
 	} else {
-		res, err = pta.AnalyzeProgram(prog, &opts)
+		res, err = pta.AnalyzeProgram(src.prog, &opts)
 	}
 	if err != nil {
-		s.fail(w, r, t0, http.StatusUnprocessableEntity, err)
-		return
+		return nil, http.StatusUnprocessableEntity, err
 	}
-	analyzeDur := time.Since(ta)
-	s.metrics.observe("analyze", ms(analyzeDur))
-	if inc := res.Incremental(); inc != nil {
-		meta.Incremental = inc
-		s.metrics.mu.Lock()
-		if inc.Fallback == "" {
-			s.metrics.warmGrafts++
-		} else {
-			s.metrics.warmFallbacks++
-		}
-		s.metrics.mu.Unlock()
-	}
+	m := &missOutcome{analyzeMS: ms(time.Since(ta)), incr: res.Incremental()}
+	s.metrics.observe("analyze", m.analyzeMS)
+	s.metrics.incremental(m.incr)
 
 	ts := time.Now()
-	snap, err := res.Snapshot(&pta.SnapshotOptions{
-		Fingerprint: key.String(),
-		Diagnostics: req.Diagnostics,
-	})
-	if err != nil {
-		s.fail(w, r, t0, http.StatusInternalServerError, err)
-		return
+	key := s.programKey(src.ir.Root, diags)
+	if m.snap, err = res.Snapshot(&pta.SnapshotOptions{Fingerprint: key.String(), Diagnostics: diags}); err != nil {
+		return nil, http.StatusInternalServerError, err
 	}
-	data, err := snap.Encode()
-	if err != nil {
-		s.fail(w, r, t0, http.StatusInternalServerError, err)
-		return
+	if m.data, err = m.snap.Encode(); err != nil {
+		return nil, http.StatusInternalServerError, err
 	}
-	snapDur := time.Since(ts)
-	s.metrics.observe("snapshot", ms(snapDur))
+	m.snapshotMS = ms(time.Since(ts))
+	s.metrics.observe("snapshot", m.snapshotMS)
 
-	if err := s.store.Put(key, data); err != nil {
+	if err := s.store.Put(key, m.data); err != nil {
 		// A failed write-back degrades future requests to misses; this
 		// one is still correct.
 		s.log.Warn("cache write failed", "key", key.String(), "err", err)
 	}
-	meta.ProcHits, meta.ProcMisses = s.recordProcLedger(res, ir)
+	m.procHits, m.procMisses = s.recordProcLedger(res, src.ir, m.snap.ModRef)
 	// Every successful miss leaves a baseline behind for the entry's
 	// next edit. The snapshot above is already built, so consuming this
 	// result later cannot invalidate anything a client was served.
-	s.baselines.put(req.Entry, pta.BaselineFromHash(res, ir, &opts))
-
-	meta.Cache = "miss"
-	meta.AnalyzeMS = ms(analyzeDur)
-	meta.SnapshotMS = ms(snapDur)
-	meta.TotalMS = ms(time.Since(t0))
-	s.metrics.mu.Lock()
-	s.metrics.analyzeMisses++
-	s.metrics.mu.Unlock()
-	s.metrics.observe("total", meta.TotalMS)
-	s.logRequest(r, http.StatusOK, t0, "miss", req.Entry, len(data))
-	writeJSON(w, http.StatusOK, AnalyzeResponse{Meta: meta, Snapshot: data})
+	s.baselines.put(src.entry, pta.BaselineFromHash(res, src.ir, &opts))
+	s.queries.put(src.entry, &queryEntry{root: src.ir.Root, snap: m.snap})
+	return m, 0, nil
 }
 
 // procArtifact is one per-procedure ledger value: the sound,
@@ -265,11 +295,12 @@ type procArtifact struct {
 // a program-level miss, returning which procedures' summary identities
 // were already known. Keys fold in everything a converged summary
 // depends on: options, globals, the SCC-condensed transitive closure
-// IR, and the converged input-domain digest.
-func (s *Server) recordProcLedger(res *pta.Result, ir *irhash.Program) (hits, misses []string) {
+// IR, and the converged input-domain digest. modRef is the result's
+// MOD/REF dump, as the snapshot already holds it.
+func (s *Server) recordProcLedger(res *pta.Result, ir *irhash.Program, modRef []string) (hits, misses []string) {
 	domains := res.DomainDigests()
 	modRefByProc := map[string][]string{}
-	for _, line := range res.ModRefDump() {
+	for _, line := range modRef {
 		for i := 0; i < len(line); i++ {
 			if line[i] == ':' {
 				modRefByProc[line[:i]] = append(modRefByProc[line[:i]], line)
@@ -312,9 +343,7 @@ func (s *Server) recordProcLedger(res *pta.Result, ir *irhash.Program) (hits, mi
 }
 
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, t0 time.Time, status int, err error) {
-	s.metrics.mu.Lock()
-	s.metrics.errors++
-	s.metrics.mu.Unlock()
+	s.metrics.count(&s.metrics.errors)
 	s.logRequest(r, status, t0, "", "", 0)
 	s.log.Warn("request failed", "path", r.URL.Path, "status", status, "err", err)
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})

@@ -33,14 +33,13 @@ package pta
 // the deriving node is not that node's barrier (a barrier lies strictly
 // before the node), but it is the barrier of the nodes below, where it
 // hides older records of the overlapping locations the query also
-// reads. The answer is then derived again at the next node holding any
-// record. A variable whose locations have no record anywhere in the
-// procedure is empty everywhere and costs no lookup.
+// reads. The answer is then derived again at every node it dominates
+// immediately, whether or not that node holds a record. A variable
+// whose locations have no record anywhere in the procedure is empty
+// everywhere and costs no lookup.
 //
 // The table is byte-identical to deriving the answer independently at
-// the entry and at every node holding a record, and copying the
-// immediate dominator's at record-free nodes (the oracle in
-// snapshot_oracle_test.go).
+// every node (the oracle in snapshot_oracle_test.go).
 
 import (
 	"encoding/json"
@@ -61,7 +60,7 @@ import (
 // SnapshotFormat versions the serialized layout. DecodeSnapshot rejects
 // any other value, so a format change invalidates every cached entry
 // (the daemon also folds this constant into its cache keys).
-const SnapshotFormat = "wlpa/snapshot/v1"
+const SnapshotFormat = "wlpa/snapshot/v2"
 
 // MaxQueryDepth is the deepest dereference precomputed for
 // Snapshot.PointsToAt ("**pp"). Deeper queries return nil; the live
@@ -361,12 +360,12 @@ func (b *procSnapper) symbol(sym *cast.Symbol) VarSnap {
 // changes reports whether the answer at nd must be recomputed rather
 // than copied from its immediate dominator's answer a.
 func (b *procSnapper) changes(nd *cfg.Node, a *sweptAnswer) bool {
+	if a.stale {
+		return true
+	}
 	recs := b.recs[nd.ID]
 	if len(recs) == 0 {
 		return false
-	}
-	if a.stale {
-		return true
 	}
 	for _, rec := range recs {
 		if _, ok := slices.BinarySearch(a.reads, rec.loc); ok {

@@ -10,11 +10,10 @@ import (
 	"wlpa/internal/workload"
 )
 
-// referenceProcs is the exhaustive answer-table builder the snapshot
-// used to ship, kept as the oracle for the dominator-order sweep: one
-// independent pointsToAtNode lookup per (symbol, depth, node), except
-// that a node holding no points-to record in any PTF copies its
-// immediate dominator's answer.
+// referenceProcs is the exhaustive answer-table builder: one
+// independent pointsToAtNode lookup per (symbol, depth, node), the same
+// lookup the live Result.PointsToAt makes. It is the oracle for the
+// dominator-order sweep.
 func referenceProcs(t *testing.T, r *Result) ([]ProcSnap, [][]string) {
 	t.Helper()
 	pool := newAnswerPool()
@@ -28,16 +27,6 @@ func referenceProcs(t *testing.T, r *Result) ([]ProcSnap, [][]string) {
 		for _, nd := range cproc.Nodes {
 			ps.Lines = append(ps.Lines, nd.Pos.Line)
 			ps.Cols = append(ps.Cols, nd.Pos.Col)
-		}
-		hot := map[int]bool{}
-		for _, p := range r.an.PTFs(proc) {
-			for _, loc := range p.Pts.Locations() {
-				for _, rec := range p.Pts.Records(loc) {
-					if rec.Node != nil {
-						hot[rec.Node.ID] = true
-					}
-				}
-			}
 		}
 		var syms []*cast.Symbol
 		seen := map[string]bool{}
@@ -62,11 +51,7 @@ func referenceProcs(t *testing.T, r *Result) ([]ProcSnap, [][]string) {
 				ids := make([]int, len(cproc.Nodes))
 				constant := true
 				for i, nd := range cproc.Nodes {
-					if i > 0 && !hot[nd.ID] && nd.Idom != nil {
-						ids[i] = ids[nd.Idom.ID]
-					} else {
-						ids[i] = pool.intern(r.pointsToAtNode(proc, sym, d, nd))
-					}
+					ids[i] = pool.intern(r.pointsToAtNode(proc, sym, d, nd))
 					if ids[i] != ids[0] {
 						constant = false
 					}
@@ -132,9 +117,31 @@ int main(void) {
 }
 `
 
+// strongBarrierCallSrc is strongBarrierSrc with a call to an empty g
+// right after the strong update: the call node holds no record, yet
+// *pp answers {y} there, not the {x, y} of the node above it.
+const strongBarrierCallSrc = `
+int x, y, z;
+struct S { int *f; int *g; } s;
+int *q;
+void g(void) { }
+int main(void) {
+	int i;
+	int **pp;
+	i = 1;
+	pp = &s.f;
+	pp[i] = &x;
+	s.f = &y;
+	g();
+	q = &z;
+	return 0;
+}
+`
+
 func oracleInputs(short bool) []oracleInput {
 	in := []oracleInput{
 		{name: "strongbarrier", src: strongBarrierSrc, diags: true},
+		{name: "strongbarriercall", src: strongBarrierCallSrc, diags: true},
 		// No variable to tabulate: the empty table encodes as null.
 		{name: "novars", src: "void f(int) { }\nint main(void) { f(1); return 0; }\n", diags: true},
 	}

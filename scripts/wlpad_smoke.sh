@@ -11,7 +11,11 @@
 #      and its transitive callers), while the rest hit;
 #   4. the edited miss grafts against the warm baseline (meta carries
 #      incremental stats with no fallback) and its snapshot is
-#      byte-identical to a cold daemon's analysis of the edited program.
+#      byte-identical to a cold daemon's analysis of the edited program;
+#   5. POST /query right after a benchmark's /analyze answers warm from
+#      the snapshot without running the engine, GET /query returns the
+#      same answer, and a cold POST /query stores the snapshot that the
+#      next /analyze of the program hits.
 #
 # Writes a /metrics snapshot to $METRICS_OUT (default
 # wlpad-metrics.json) for upload as a CI artifact. Requires jq + curl.
@@ -39,6 +43,12 @@ analyze() { # analyze <file> <out>; request includes checker diagnostics
         curl -sf -d @- "http://$ADDR/analyze" >"$2"
 }
 
+query() { # query <file> <queries-json> <out>
+    jq -n --rawfile src "$1" --arg entry "$(basename "$1")" --argjson q "$2" \
+        '{files: {($entry): $src}, entry: $entry, queries: $q}' |
+        curl -sf -d @- "http://$ADDR/query" >"$3"
+}
+
 benches=0
 for f in internal/workload/testdata/*.c; do
     case "$f" in */bug_*) continue ;; esac
@@ -61,6 +71,21 @@ for f in internal/workload/testdata/*.c; do
     jq -e '.snapshot.has_diags == true' "$work/cold.json" >/dev/null ||
         { echo "$name: snapshot carries no diagnostics"; exit 1; }
     echo "ok: $name (cold miss, warm hit, snapshots identical)"
+
+    # Three sites in main at its last line, answered from the snapshot
+    # the miss above left behind.
+    sites=$(jq -c '[.snapshot.procs[] | select(.name == "main")][0] as $p
+        | [$p.vars[:3][] | {proc: "main", line: ($p.lines | max), expr: .name}]' "$work/cold.json")
+    query "$f" "$sites" "$work/query.json"
+    jq -e '.meta.cache == "warm" and .meta.analyze_ms == null and (.answers | length) == 3' \
+        "$work/query.json" >/dev/null ||
+        { echo "$name: query after /analyze was not warm:"; jq .meta "$work/query.json"; exit 1; }
+    curl -sfG "http://$ADDR/query" --data-urlencode "entry=$name.c" \
+        --data-urlencode "proc=main" --data-urlencode "line=$(jq '.[0].line' <<<"$sites")" \
+        --data-urlencode "expr=$(jq -r '.[0].expr' <<<"$sites")" >"$work/get.json"
+    [ "$(jq -c '.answers[0].points_to' "$work/get.json")" = "$(jq -c '.answers[0].points_to' "$work/query.json")" ] ||
+        { echo "$name: GET /query answer differs from POST"; exit 1; }
+    echo "ok: $name (POST /query warm after /analyze, GET agrees)"
 done
 [ "$benches" -gt 0 ] || { echo "no benchmark sources found"; exit 1; }
 
@@ -72,6 +97,22 @@ jq -e --argjson n "$benches" \
     "$work/metrics.json" >/dev/null ||
     { echo "hit/miss counters off:"; jq .requests "$work/metrics.json"; exit 1; }
 echo "ok: warm pass served entirely from cache ($benches/$benches hits)"
+
+# A cold POST /query runs the same miss as /analyze: the program's
+# snapshot is stored, so the next /analyze of it hits.
+cat >"$work/fresh.c" <<'EOF'
+int x, y;
+int *p, *q;
+int main(void) { p = &x; q = p; return 0; }
+EOF
+query "$work/fresh.c" '[{"proc": "main", "line": 3, "expr": "q"}]' "$work/fresh_query.json"
+jq -e '.meta.cache == "cold" and .answers[0].points_to == ["x"]' "$work/fresh_query.json" >/dev/null ||
+    { echo "cold query off:"; jq . "$work/fresh_query.json"; exit 1; }
+jq -n --rawfile src "$work/fresh.c" '{files: {"fresh.c": $src}, entry: "fresh.c"}' |
+    curl -sf -d @- "http://$ADDR/analyze" >"$work/fresh.json"
+[ "$(jq -r .meta.cache "$work/fresh.json")" = hit ] ||
+    { echo "/analyze after a cold query did not hit"; exit 1; }
+echo "ok: cold query stored the snapshot; /analyze hit"
 
 # Single-procedure edit invalidation: editing h must miss the ledger
 # for exactly h (its own IR changed) and main (its transitive closure
